@@ -26,6 +26,7 @@
 #include "catalog/tpch.h"
 #include "common/json.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "core/raqo_planner.h"
 #include "core/workload_runner.h"
 #include "sim/profile_runner.h"
@@ -128,7 +129,7 @@ int main(int argc, char** argv) {
   std::vector<core::WorkloadQuery> random_workload;
   for (int i = 0; i < 32; ++i) {
     core::WorkloadQuery query;
-    query.label = "r" + std::to_string(i);
+    query.label = StrPrintf("r%d", i);
     query.tables = *catalog::RandomQueryTables(
         random_cat, static_cast<int>(rng.UniformInt(4, 9)),
         static_cast<uint64_t>(500 + i));

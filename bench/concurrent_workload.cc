@@ -27,6 +27,7 @@
 #include "catalog/random_schema.h"
 #include "common/json.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "core/concurrent_workload_runner.h"
 #include "core/workload_runner.h"
 #include "sim/profile_runner.h"
@@ -116,7 +117,7 @@ int main(int argc, char** argv) {
   std::vector<core::WorkloadQuery> workload;
   for (int i = 0; i < 64; ++i) {
     core::WorkloadQuery query;
-    query.label = "q" + std::to_string(i);
+    query.label = StrPrintf("q%d", i);
     query.tables = *catalog::RandomQueryTables(
         cat, static_cast<int>(rng.UniformInt(4, 10)),
         static_cast<uint64_t>(9000 + i));

@@ -1,8 +1,7 @@
 // Command-line client for the RAQO planning server:
 //
 //   raqo_client --port 7470 --sql "select * from orders, lineitem, customer"
-//   raqo_client --port 7470 --sql "select * from orders, lineitem" \
-//       --max-dollars 0.40
+//   raqo_client --max-dollars 0.40 --sql "select * from orders, lineitem"
 //
 // Prints the chosen plan, the per-join resource configuration, and the
 // predicted cost/latency the server answered with.

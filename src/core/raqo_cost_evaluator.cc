@@ -4,7 +4,6 @@
 
 #include "common/stopwatch.h"
 #include "common/strings.h"
-#include "cost/features.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -182,13 +181,15 @@ Result<optimizer::OperatorCost> RaqoCostEvaluator::CostJoinImpl(
   }
 
   const double ls_gb = context.larger_gb();
+  // Bound once per join: every cell the search visits, the cache-hit
+  // re-cost and the final re-cost share this join's data-only prefix.
+  const cost::JoinCostKernel kernel = model.Bind(ss_gb, ls_gb);
+  auto seconds_at = [&kernel](const resource::ResourceConfig& config) {
+    return kernel.Seconds(config.container_size_gb(),
+                          config.num_containers());
+  };
   auto objective = [&](const resource::ResourceConfig& config) {
-    cost::JoinFeatures features;
-    features.smaller_gb = ss_gb;
-    features.larger_gb = ls_gb;
-    features.container_size_gb = config.container_size_gb();
-    features.num_containers = config.num_containers();
-    const double seconds = model.PredictSeconds(features);
+    const double seconds = seconds_at(config);
     const double dollars = pricing_.Cost(config, seconds);
     return cost::CostVector{seconds, dollars}.Weighted(options_.time_weight);
   };
@@ -223,12 +224,7 @@ Result<optimizer::OperatorCost> RaqoCostEvaluator::CostJoinImpl(
       // back onto the allocatable grid.
       const resource::ResourceConfig config =
           cluster_.SnapToGrid(hit->config);
-      cost::JoinFeatures features;
-      features.smaller_gb = ss_gb;
-      features.larger_gb = ls_gb;
-      features.container_size_gb = config.container_size_gb();
-      features.num_containers = config.num_containers();
-      const double seconds = model.PredictSeconds(features);
+      const double seconds = seconds_at(config);
       optimizer::OperatorCost out;
       out.cost.seconds = seconds;
       out.cost.dollars = pricing_.Cost(config, seconds);
@@ -281,8 +277,18 @@ Result<optimizer::OperatorCost> RaqoCostEvaluator::CostJoinImpl(
     if (!metrics_on && !tracing_on) {
       return run_search();
     }
-    Stopwatch timer;
-    obs::Span span = obs::DefaultTracer().StartSpan(resource_span_name_);
+    // The wall-time histogram samples one search in
+    // kSearchWallSampleEvery: its two clock reads and the record cost
+    // about as much as 2% of a whole hill-climb search. Traced searches
+    // carry their duration in the span.
+    std::optional<Stopwatch> timer;
+    if (metrics_on && wall_sample_tick_++ % kSearchWallSampleEvery == 0) {
+      timer.emplace();
+    }
+    obs::Span span;
+    if (tracing_on) {
+      span = obs::DefaultTracer().StartSpan(resource_span_name_);
+    }
     Result<ResourcePlanResult> result = run_search();
     if (span.recording()) {
       span.SetAttr("strategy", planner_->name());
@@ -308,7 +314,7 @@ Result<optimizer::OperatorCost> RaqoCostEvaluator::CostJoinImpl(
           obs::DefaultMetrics().GetHistogram("planner.resource.wall_us");
       searches->Add(1);
       if (result.ok()) explored->Add(result->configs_explored);
-      latency->Record(timer.ElapsedMicros());
+      if (timer.has_value()) latency->Record(timer->ElapsedMicros());
       if (result.ok() && switch_aware_) {
         static obs::Counter* pruned = obs::DefaultMetrics().GetCounter(
             "planner.resource.cells_pruned");
@@ -350,12 +356,7 @@ Result<optimizer::OperatorCost> RaqoCostEvaluator::CostJoinImpl(
     }
   }
 
-  cost::JoinFeatures features;
-  features.smaller_gb = ss_gb;
-  features.larger_gb = ls_gb;
-  features.container_size_gb = planned->config.container_size_gb();
-  features.num_containers = planned->config.num_containers();
-  const double seconds = model.PredictSeconds(features);
+  const double seconds = seconds_at(planned->config);
   optimizer::OperatorCost out;
   out.cost.seconds = seconds;
   out.cost.dollars = pricing_.Cost(planned->config, seconds);

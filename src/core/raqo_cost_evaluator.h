@@ -219,6 +219,10 @@ class RaqoCostEvaluator : public optimizer::PlanCostEvaluator {
   std::array<std::optional<cost::ResourceBoundOracle>, 2> oracles_;
   std::array<std::optional<resource::ResourceConfig>, 2> last_best_;
   bool switch_aware_ = false;
+  /// Searches whose wall time feeds `planner.resource.wall_us`: one in
+  /// kSearchWallSampleEvery, counted per evaluator.
+  static constexpr uint32_t kSearchWallSampleEvery = 16;
+  uint32_t wall_sample_tick_ = 0;
 };
 
 }  // namespace raqo::core

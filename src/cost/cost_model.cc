@@ -1,6 +1,6 @@
 #include "cost/cost_model.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -37,15 +37,6 @@ Result<OperatorCostModel> OperatorCostModel::Train(
   options.ridge_lambda = 1e-6;
   RAQO_ASSIGN_OR_RETURN(LinearModel model, FitOls(x, y, options));
   return OperatorCostModel(std::move(name), std::move(model), feature_set);
-}
-
-double OperatorCostModel::PredictSeconds(const JoinFeatures& features) const {
-  // Hot path of resource planning: no allocation.
-  double buffer[kMaxFeatures];
-  const size_t n = ExpandFeaturesInto(features, feature_set_, buffer);
-  double sum = model_.has_intercept ? model_.weights.back() : 0.0;
-  for (size_t i = 0; i < n; ++i) sum += model_.weights[i] * buffer[i];
-  return std::max(sum, kMinSeconds);
 }
 
 OperatorCostModel PaperHiveSmjModel() {

@@ -7,6 +7,7 @@
 #include "common/regression.h"
 #include "common/result.h"
 #include "cost/features.h"
+#include "cost/join_cost_kernel.h"
 #include "plan/plan_node.h"
 
 namespace raqo::cost {
@@ -23,6 +24,14 @@ struct ProfileSample {
 /// over an expanded feature vector and clamps predictions to a small
 /// positive floor, since a regression fitted on a finite profile grid can
 /// extrapolate below zero.
+///
+/// Evaluation goes through one definition: Bind() fixes a join's data
+/// sizes and returns the inline JoinCostKernel, which costs a resource
+/// configuration with the same floating-point operations, in the same
+/// order, as the linear model's left-to-right dot product.
+/// PredictSeconds() is Bind() followed by one Seconds() call, so a
+/// resource search that binds once per join and a caller that predicts
+/// cell by cell get the same bits (docs/PERF.md, "Join-cost kernel").
 class OperatorCostModel {
  public:
   /// `name` identifies the model (also used as the resource-plan cache
@@ -42,11 +51,20 @@ class OperatorCostModel {
   const LinearModel& model() const { return model_; }
   FeatureSet feature_set() const { return feature_set_; }
 
+  /// The model bound to one join's input sizes; bind once per resource
+  /// search and call Seconds(cs, nc) per grid cell.
+  JoinCostKernel Bind(double smaller_gb, double larger_gb) const {
+    return JoinCostKernel(feature_set_, model_, smaller_gb, larger_gb);
+  }
+
   /// Predicted runtime in seconds, clamped to >= kMinSeconds.
-  double PredictSeconds(const JoinFeatures& features) const;
+  double PredictSeconds(const JoinFeatures& features) const {
+    return Bind(features.smaller_gb, features.larger_gb)
+        .Seconds(features.container_size_gb, features.num_containers);
+  }
 
   /// Prediction floor.
-  static constexpr double kMinSeconds = 1e-3;
+  static constexpr double kMinSeconds = JoinCostKernel::kMinSeconds;
 
  private:
   std::string name_;

@@ -1,64 +1,21 @@
 #include "cost/features.h"
 
-#include <algorithm>
-
-#include "common/logging.h"
-
 namespace raqo::cost {
 
 size_t NumFeatures(FeatureSet set) {
-  switch (set) {
-    case FeatureSet::kPaper:
-      return kNumPaperFeatures;
-    case FeatureSet::kExtended:
-      return kNumExtendedFeatures;
-    case FeatureSet::kPeakedProbe:
-      return kNumPeakedProbeFeatures;
-  }
-  return kNumPaperFeatures;
+  return WithFeatureFormulas(set, [](auto formulas) {
+    return decltype(formulas)::kCount;
+  });
 }
 
 std::vector<double> ExpandFeatures(const JoinFeatures& f, FeatureSet set) {
-  double buffer[kMaxFeatures];
-  const size_t n = ExpandFeaturesInto(f, set, buffer);
-  return std::vector<double>(buffer, buffer + n);
-}
-
-size_t ExpandFeaturesInto(const JoinFeatures& f, FeatureSet set,
-                          double* out) {
-  const double ss = f.smaller_gb;
-  const double ls = f.larger_gb;
-  const double cs = f.container_size_gb;
-  const double nc = f.num_containers;
-  if (set == FeatureSet::kPaper) {
-    out[0] = ss;
-    out[1] = ss * ss;
-    out[2] = cs;
-    out[3] = cs * cs;
-    out[4] = nc;
-    out[5] = nc * nc;
-    out[6] = cs * nc;
-    return kNumPaperFeatures;
-  }
-  if (set == FeatureSet::kPeakedProbe) {
-    out[0] = ss;
-    out[1] = cs * (14.0 - cs);  // peaks at cs = 7, inside the paper grid
-    out[2] = nc;
-    return kNumPeakedProbeFeatures;
-  }
-  const double safe_nc = std::max(nc, 1e-9);
-  const double safe_cs = std::max(cs, 1e-9);
-  out[0] = ss;
-  out[1] = ls;
-  out[2] = ss / safe_nc;
-  out[3] = ls / safe_nc;
-  out[4] = ss * nc;
-  out[5] = nc;
-  out[6] = cs;
-  out[7] = ss / safe_cs;
-  out[8] = ls / safe_cs;
-  out[9] = 1.0 / safe_cs;
-  return kNumExtendedFeatures;
+  return WithFeatureFormulas(set, [&f](auto formulas) {
+    std::vector<double> out(decltype(formulas)::kCount);
+    decltype(formulas)::Expand(f.smaller_gb, f.larger_gb,
+                               f.container_size_gb, f.num_containers,
+                               out.data());
+    return out;
+  });
 }
 
 const std::vector<std::string>& FeatureNames(FeatureSet set) {
@@ -87,7 +44,7 @@ const std::vector<FeatureResourceTrend>& FeatureResourceTrends(
   using T = FeatureTrend;
   // Trends hold for ss, ls >= 0 and cs, nc > 0, the domain of every
   // valid cluster grid. Division features use max(x, 1e-9) guards in
-  // ExpandFeaturesInto; max of a monotone function is monotone, so the
+  // FeatureFormulas; max of a monotone function is monotone, so the
   // guards do not change any trend.
   static const std::vector<FeatureResourceTrend>* paper =
       new std::vector<FeatureResourceTrend>{

@@ -1,6 +1,7 @@
 #ifndef RAQO_COST_FEATURES_H_
 #define RAQO_COST_FEATURES_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -49,20 +50,90 @@ enum class FeatureSet {
 inline constexpr size_t kNumPaperFeatures = 7;
 inline constexpr size_t kNumExtendedFeatures = 10;
 inline constexpr size_t kNumPeakedProbeFeatures = 3;
-/// Upper bound across all feature sets (for stack buffers).
-inline constexpr size_t kMaxFeatures = 16;
+/// Largest feature count of any set (sizes the join-cost kernel's
+/// weight array).
+inline constexpr size_t kMaxFeatures = std::max(
+    {kNumPaperFeatures, kNumExtendedFeatures, kNumPeakedProbeFeatures});
 size_t NumFeatures(FeatureSet set);
 
-/// Expands the raw inputs into the chosen feature vector.
-std::vector<double> ExpandFeatures(const JoinFeatures& f, FeatureSet set);
+/// The feature formulas of each set — their only definition. Training
+/// (ExpandFeatures), the bound oracle (cost/model_bounds.h) and the
+/// join-cost kernel (cost/join_cost_kernel.h) all expand through
+/// `Expand`, which writes the set's `kCount` features for (ss, ls, cs,
+/// nc) into `out` in ExpandFeatures order. The first `kDataTerms`
+/// features depend on the data sizes only; the kernel folds them into
+/// a per-join prefix, which is why they must lead the vector.
+template <FeatureSet S>
+struct FeatureFormulas;
 
-/// Allocation-free variant for the planner hot path: writes into `out`
-/// (at least kMaxFeatures doubles) and returns the feature count.
-/// Resource planning evaluates the cost model hundreds of millions of
-/// times on the paper's largest clusters (Figure 15), so this path must
-/// not allocate.
-size_t ExpandFeaturesInto(const JoinFeatures& f, FeatureSet set,
-                          double* out);
+template <>
+struct FeatureFormulas<FeatureSet::kPaper> {
+  static constexpr size_t kCount = kNumPaperFeatures;
+  static constexpr size_t kDataTerms = 2;  // ss, ss^2
+  static void Expand(double ss, double /*ls*/, double cs, double nc,
+                     double* out) {
+    out[0] = ss;
+    out[1] = ss * ss;
+    out[2] = cs;
+    out[3] = cs * cs;
+    out[4] = nc;
+    out[5] = nc * nc;
+    out[6] = cs * nc;
+  }
+};
+
+template <>
+struct FeatureFormulas<FeatureSet::kExtended> {
+  static constexpr size_t kCount = kNumExtendedFeatures;
+  static constexpr size_t kDataTerms = 2;  // ss, ls
+  static void Expand(double ss, double ls, double cs, double nc,
+                     double* out) {
+    const double safe_nc = std::max(nc, 1e-9);
+    const double safe_cs = std::max(cs, 1e-9);
+    out[0] = ss;
+    out[1] = ls;
+    out[2] = ss / safe_nc;
+    out[3] = ls / safe_nc;
+    out[4] = ss * nc;
+    out[5] = nc;
+    out[6] = cs;
+    out[7] = ss / safe_cs;
+    out[8] = ls / safe_cs;
+    out[9] = 1.0 / safe_cs;
+  }
+};
+
+template <>
+struct FeatureFormulas<FeatureSet::kPeakedProbe> {
+  static constexpr size_t kCount = kNumPeakedProbeFeatures;
+  static constexpr size_t kDataTerms = 1;  // ss
+  static void Expand(double ss, double /*ls*/, double cs, double nc,
+                     double* out) {
+    out[0] = ss;
+    out[1] = cs * (14.0 - cs);  // peaks at cs = 7, inside the paper grid
+    out[2] = nc;
+  }
+};
+
+/// Calls `fn(FeatureFormulas<S>{})` for the run-time `set` and returns
+/// its result: the one place a FeatureSet value selects its formulas. A
+/// value outside the enum evaluates as kExtended.
+template <typename Fn>
+decltype(auto) WithFeatureFormulas(FeatureSet set, Fn&& fn) {
+  switch (set) {
+    case FeatureSet::kPaper:
+      return fn(FeatureFormulas<FeatureSet::kPaper>{});
+    case FeatureSet::kExtended:
+      break;
+    case FeatureSet::kPeakedProbe:
+      return fn(FeatureFormulas<FeatureSet::kPeakedProbe>{});
+  }
+  return fn(FeatureFormulas<FeatureSet::kExtended>{});
+}
+
+/// Expands the raw inputs into the chosen feature vector (the training
+/// path; planning expands inline through FeatureFormulas).
+std::vector<double> ExpandFeatures(const JoinFeatures& f, FeatureSet set);
 
 /// Names of the expanded features, aligned with ExpandFeatures output.
 const std::vector<std::string>& FeatureNames(FeatureSet set);

@@ -9,13 +9,30 @@ namespace raqo::cost {
 
 namespace {
 
-/// Expands the features at one box corner into `out`.
-size_t CornerFeatures(const JoinFeatures& data, FeatureSet set, double cs,
-                      double nc, double* out) {
-  JoinFeatures corner = data;
-  corner.container_size_gb = cs;
-  corner.num_containers = nc;
-  return ExpandFeaturesInto(corner, set, out);
+/// Per-feature corner minima over the box [cs_lo, cs_hi] x [nc_lo,
+/// nc_hi]: phi is componentwise monotone, so each w_i * phi_i attains
+/// its box minimum at one of the 4 corners. Expanded inline through the
+/// set's FeatureFormulas `F`, like the join-cost kernel.
+template <typename F>
+double CornerMinimaBound(const LinearModel& model, const JoinFeatures& data,
+                         double cs_lo, double cs_hi, double nc_lo,
+                         double nc_hi) {
+  double corners[4][F::kCount];
+  const double ss = data.smaller_gb;
+  const double ls = data.larger_gb;
+  F::Expand(ss, ls, cs_lo, nc_lo, corners[0]);
+  F::Expand(ss, ls, cs_lo, nc_hi, corners[1]);
+  F::Expand(ss, ls, cs_hi, nc_lo, corners[2]);
+  F::Expand(ss, ls, cs_hi, nc_hi, corners[3]);
+
+  double sum = model.has_intercept ? model.weights.back() : 0.0;
+  for (size_t i = 0; i < F::kCount; ++i) {
+    const double w = model.weights[i];
+    double term = w * corners[0][i];
+    for (int c = 1; c < 4; ++c) term = std::min(term, w * corners[c][i]);
+    sum += term;
+  }
+  return std::max(sum, OperatorCostModel::kMinSeconds);
 }
 
 }  // namespace
@@ -86,27 +103,14 @@ Result<ResourceBoundOracle> ResourceBoundOracle::Create(
 double ResourceBoundOracle::SecondsLowerBound(
     const JoinFeatures& data, const resource::ResourceConfig& lo,
     const resource::ResourceConfig& hi) const {
-  // Per-feature corner minima: phi is componentwise monotone, so each
-  // w_i * phi_i attains its box minimum at one of the 4 corners.
-  double corners[4][kMaxFeatures];
   const double cs_lo = lo.container_size_gb();
   const double cs_hi = hi.container_size_gb();
   const double nc_lo = lo.num_containers();
   const double nc_hi = hi.num_containers();
-  const size_t n =
-      CornerFeatures(data, feature_set_, cs_lo, nc_lo, corners[0]);
-  CornerFeatures(data, feature_set_, cs_lo, nc_hi, corners[1]);
-  CornerFeatures(data, feature_set_, cs_hi, nc_lo, corners[2]);
-  CornerFeatures(data, feature_set_, cs_hi, nc_hi, corners[3]);
-
-  double sum = model_.has_intercept ? model_.weights.back() : 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double w = model_.weights[i];
-    double term = w * corners[0][i];
-    for (int c = 1; c < 4; ++c) term = std::min(term, w * corners[c][i]);
-    sum += term;
-  }
-  return std::max(sum, OperatorCostModel::kMinSeconds);
+  return WithFeatureFormulas(feature_set_, [&](auto formulas) {
+    return CornerMinimaBound<decltype(formulas)>(model_, data, cs_lo, cs_hi,
+                                                 nc_lo, nc_hi);
+  });
 }
 
 }  // namespace raqo::cost

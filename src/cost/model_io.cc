@@ -37,7 +37,10 @@ std::string SerializeModel(const OperatorCostModel& model) {
   out += std::string("feature-set ") + set_name + "\n";
   out += StrPrintf("intercept %d\n", model.model().has_intercept ? 1 : 0);
   out += StrPrintf("weights %zu", model.model().weights.size());
-  for (double w : model.model().weights) out += " " + HexDouble(w);
+  for (double w : model.model().weights) {
+    out += ' ';
+    out += HexDouble(w);
+  }
   out += "\n";
   return out;
 }

@@ -16,7 +16,7 @@ std::string PlanToDot(const PlanNode& plan,
     if (node.is_scan()) {
       const std::string name =
           catalog != nullptr ? catalog->table(node.table()).name
-                             : "t" + std::to_string(node.table());
+                             : StrPrintf("t%d", node.table());
       out += StrPrintf("  n%d [label=\"%s\", style=rounded];\n", id,
                        name.c_str());
       return id;

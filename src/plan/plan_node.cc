@@ -1,6 +1,7 @@
 #include "plan/plan_node.h"
 
 #include "common/logging.h"
+#include "common/strings.h"
 
 namespace raqo::plan {
 
@@ -162,7 +163,7 @@ bool PlanNode::StructurallyEquals(const PlanNode& other) const {
 std::string PlanNode::ToString(const catalog::Catalog* catalog) const {
   if (is_scan()) {
     if (catalog != nullptr) return catalog->table(table_).name;
-    return "t" + std::to_string(table_);
+    return StrPrintf("t%d", table_);
   }
   std::string out = JoinImplName(impl_);
   out += "(";

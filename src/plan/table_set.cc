@@ -20,7 +20,10 @@ std::string TableSet::ToString() const {
   for (catalog::TableId id : ToVector()) {
     parts.push_back(std::to_string(id));
   }
-  return "{" + JoinStrings(parts, ", ") + "}";
+  std::string out = "{";
+  out += JoinStrings(parts, ", ");
+  out += "}";
+  return out;
 }
 
 }  // namespace raqo::plan

@@ -223,7 +223,7 @@ TEST(StringsTest, HumanSeconds) {
 TEST(StopwatchTest, MeasuresElapsedTime) {
   Stopwatch w;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100'000; ++i) sink += i;
+  for (int i = 0; i < 100'000; ++i) sink = sink + i;
   EXPECT_GE(w.ElapsedMillis(), 0.0);
   EXPECT_GE(w.ElapsedSeconds(), 0.0);
   const double before = w.ElapsedMillis();

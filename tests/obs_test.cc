@@ -23,6 +23,7 @@
 
 #include "catalog/random_schema.h"
 #include "common/stopwatch.h"
+#include "common/strings.h"
 #include "core/concurrent_workload_runner.h"
 #include "core/plan_cache.h"
 #include "core/workload_runner.h"
@@ -498,7 +499,7 @@ std::vector<core::WorkloadQuery> SmallWorkload(const catalog::Catalog& cat) {
   std::vector<core::WorkloadQuery> workload;
   for (int i = 0; i < 12; ++i) {
     core::WorkloadQuery query;
-    query.label = "q" + std::to_string(i);
+    query.label = StrPrintf("q%d", i);
     query.tables = *catalog::RandomQueryTables(
         cat, 2 + i % 4, 900 + static_cast<uint64_t>(i));
     workload.push_back(std::move(query));

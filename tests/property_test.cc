@@ -8,6 +8,7 @@
 #include "catalog/random_schema.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "common/strings.h"
 #include "core/concurrent_workload_runner.h"
 #include "core/raqo_planner.h"
 #include "core/workload_runner.h"
@@ -200,7 +201,7 @@ TEST_P(SeededPropertyTest, ConcurrentRunnerMatchesSequential) {
   std::vector<core::WorkloadQuery> workload;
   for (int i = 0; i < 16; ++i) {
     core::WorkloadQuery query;
-    query.label = "q" + std::to_string(i);
+    query.label = StrPrintf("q%d", i);
     query.tables = *catalog::RandomQueryTables(
         cat, static_cast<int>(rng.UniformInt(2, 7)), GetParam() + i * 31);
     workload.push_back(std::move(query));

@@ -31,6 +31,7 @@
 
 #include "catalog/tpch.h"
 #include "common/net.h"
+#include "common/strings.h"
 #include "server/protocol.h"
 #include "server/server.h"
 #include "server/service.h"
@@ -154,7 +155,7 @@ TEST(ServerSoakTest, PipelinedMixedTenantTrafficSurvivesRandomResets) {
   clients.reserve(kClientThreads);
   for (int c = 0; c < kClientThreads; ++c) {
     clients.emplace_back([&, c] {
-      const std::string tenant = "t" + std::to_string(c % 3);
+      const std::string tenant = StrPrintf("t%d", c % 3);
       std::set<std::string> ever_received;
       int seq = 0;
       std::optional<ProtectedConn> conn;
@@ -176,8 +177,7 @@ TEST(ServerSoakTest, PipelinedMixedTenantTrafficSurvivesRandomResets) {
         bool burst_ok = true;
         for (int i = 0; i < kBurstSize && burst_ok; ++i) {
           PlanRequest request;
-          request.id =
-              "c" + std::to_string(c) + "-" + std::to_string(seq++);
+          request.id = StrPrintf("c%d-%d", c, seq++);
           request.tenant = tenant;
           request.tables = {"orders", "lineitem"};
           if (!server::WriteFrame(conn->fd.get(),

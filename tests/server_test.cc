@@ -22,6 +22,7 @@
 #include "catalog/tpch.h"
 #include "common/json.h"
 #include "common/net.h"
+#include "common/strings.h"
 #include "core/plan_cache.h"
 #include "core/raqo_planner.h"
 #include "persist/cache_persist.h"
@@ -532,7 +533,7 @@ TEST(PlanningServerTest, ConcurrentClientsAllGetTheSequentialAnswer) {
       }
       for (int call = 0; call < kCallsEach; ++call) {
         PlanRequest request;
-        request.id = "c" + std::to_string(t) + "." + std::to_string(call);
+        request.id = StrPrintf("c%d.%d", t, call);
         request.sql = "select * from orders, lineitem, customer";
         Result<PlanResponse> response = client->Call(request);
         if (!response.ok() || !response->ok()) {
