@@ -13,8 +13,10 @@
 // This bench plans the TPC-H evaluation queries plus a random-schema
 // workload with both searches, asserts the plans are identical, and
 // reports per-query latency percentiles, the evaluation-count ratio,
-// and the wall-clock speedup. With --smoke it is a CI gate: plans must
-// be identical and the switch-aware search must be >= 2x faster cold.
+// and the wall-clock speedup. The default search, the paper's hill
+// climb (heuristic, so its plans may differ), is reported beside them.
+// With --smoke it is a CI gate: the two exact searches' plans must be
+// identical and the switch-aware search must be >= 2x faster cold.
 
 #include <cstdio>
 #include <cstring>
@@ -137,8 +139,8 @@ int main(int argc, char** argv) {
   }
 
   bench::Section(
-      "Cold plan latency: exhaustive vs switch-aware resource search "
-      "(no cache, paper-default 10x100 grid)");
+      "Cold plan latency: exhaustive vs switch-aware resource search, "
+      "and the default hill climb (no cache, paper-default 10x100 grid)");
 
   struct Suite {
     const char* name;
@@ -161,6 +163,9 @@ int main(int argc, char** argv) {
     const SearchRun incremental =
         RunWorkload(*suite.cat, models, cluster, *suite.workload,
                     core::ResourceSearch::kSwitchAwareGrid);
+    const SearchRun climb =
+        RunWorkload(*suite.cat, models, cluster, *suite.workload,
+                    core::ResourceSearch::kHillClimb);
 
     const bool identical =
         SamePlans(brute.last_report, incremental.last_report);
@@ -174,6 +179,8 @@ int main(int argc, char** argv) {
         bench::SummarizeLatencies(brute.query_wall_ms);
     const bench::LatencyStats inc_lat =
         bench::SummarizeLatencies(incremental.query_wall_ms);
+    const bench::LatencyStats climb_lat =
+        bench::SummarizeLatencies(climb.query_wall_ms);
     const double queries = static_cast<double>(suite.workload->size());
     table.AddRow({suite.name, "brute-force",
                   bench::Num(brute.total_wall_ms, "%.1f"),
@@ -192,12 +199,25 @@ int main(int argc, char** argv) {
                           queries,
                       "%.0f"),
                   bench::Num(speedup, "%.2fx"), identical ? "yes" : "NO"});
+    table.AddRow({suite.name, "hill-climb (default)",
+                  bench::Num(climb.total_wall_ms, "%.1f"),
+                  StrPrintf("%.2f/%.2f/%.2f", climb_lat.p50, climb_lat.p95,
+                            climb_lat.p99),
+                  bench::Num(static_cast<double>(climb.configs_explored) /
+                                 queries,
+                             "%.0f"),
+                  bench::Num(climb.total_wall_ms > 0.0
+                                 ? brute.total_wall_ms / climb.total_wall_ms
+                                 : 1.0,
+                             "%.2fx"),
+                  "-"});
 
     if (!json_suites.empty()) json_suites += ", ";
     json_suites += StrPrintf(
         "{\"suite\": \"%s\", \"queries\": %zu, \"repeats\": %d, "
         "\"brute_force\": {\"wall_ms\": %s, %s, \"configs_explored\": %lld}, "
         "\"switch_aware\": {\"wall_ms\": %s, %s, \"configs_explored\": %lld}, "
+        "\"hill_climb\": {\"wall_ms\": %s, %s, \"configs_explored\": %lld}, "
         "\"speedup\": %s, \"plans_identical\": %s}",
         suite.name, suite.workload->size(), kRepeats,
         JsonNumber(brute.total_wall_ms).c_str(),
@@ -206,6 +226,9 @@ int main(int argc, char** argv) {
         JsonNumber(incremental.total_wall_ms).c_str(),
         bench::LatencyJsonFields(inc_lat, "ms").c_str(),
         (long long)incremental.configs_explored,
+        JsonNumber(climb.total_wall_ms).c_str(),
+        bench::LatencyJsonFields(climb_lat, "ms").c_str(),
+        (long long)climb.configs_explored,
         JsonNumber(speedup).c_str(), identical ? "true" : "false");
   }
   table.Print();

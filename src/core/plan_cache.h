@@ -247,6 +247,9 @@ class CacheEventListener {
 /// single-threaded one.
 class ResourcePlanCache {
  public:
+  /// Lookups per thread per `cache.lookup.wall_us` sample.
+  static constexpr uint32_t kLookupWallSampleEvery = 16;
+
   ResourcePlanCache(CacheLookupMode mode, double threshold_gb,
                     CacheIndexKind index_kind = CacheIndexKind::kSortedArray,
                     size_t shards = 0);
@@ -258,9 +261,11 @@ class ResourcePlanCache {
   /// the similarity modes ignore the guard — they approximate by design.
   ///
   /// When the observability layer is on, each call records a
-  /// `cache.lookup` span plus hit/miss counters and a latency histogram
-  /// under the same prefix (obs/metrics.h); with both metrics and
-  /// tracing off the instrumentation is a pair of relaxed loads.
+  /// `cache.lookup` span (tracing on) plus hit/miss counters under the
+  /// same prefix, and one call in kLookupWallSampleEvery per thread
+  /// records the `cache.lookup.wall_us` histogram (obs/metrics.h); with
+  /// both metrics and tracing off the instrumentation is a pair of
+  /// relaxed loads.
   std::optional<CachedResourcePlan> Lookup(
       const std::string& model_name, double key_gb,
       std::optional<double> larger_gb = std::nullopt);

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/stopwatch.h"
-#include "common/strings.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -22,10 +21,13 @@ RaqoCostEvaluator::RaqoCostEvaluator(cost::JoinCostModels models,
       planner_ = std::make_unique<BruteForceResourcePlanner>();
       resource_span_name_ = "planner.resource.grid";
       break;
-    case ResourceSearch::kHillClimb:
-      planner_ = std::make_unique<HillClimbResourcePlanner>();
+    case ResourceSearch::kHillClimb: {
+      auto hill_climb = std::make_unique<HillClimbResourcePlanner>();
+      hill_climb_ = hill_climb.get();
+      planner_ = std::move(hill_climb);
       resource_span_name_ = "planner.resource.hillclimb";
       break;
+    }
     case ResourceSearch::kAcceleratedHillClimb:
       planner_ = std::make_unique<AcceleratedHillClimbResourcePlanner>();
       resource_span_name_ = "planner.resource.hillclimb";
@@ -160,9 +162,10 @@ Result<optimizer::OperatorCost> RaqoCostEvaluator::CostJoinImpl(
   if (context.impl == plan::JoinImpl::kBroadcastHashJoin) {
     const double min_cs = ss_gb / options_.bhj_capacity_factor;
     if (min_cs > cluster_.max().container_size_gb() + 1e-9) {
-      return Status::ResourceExhausted(StrPrintf(
-          "BHJ build side %.2f GB fits no container up to %.2f GB", ss_gb,
-          cluster_.max().container_size_gb()));
+      // Fixed text: Selinger drops rejected candidates, and formatting
+      // the sizes cost more than the whole rejection.
+      return Status::ResourceExhausted(
+          "BHJ build side fits no container in the cluster grid");
     }
     if (min_cs > cluster_.min().container_size_gb()) {
       // Snap the minimum container size up onto the grid.
@@ -266,6 +269,11 @@ Result<optimizer::OperatorCost> RaqoCostEvaluator::CostJoinImpl(
     }
   }
   auto run_search = [&] {
+    // The default climb runs on the concrete objective: every probe is
+    // inlined instead of going through ResourceCostFn.
+    if (hill_climb_ != nullptr) {
+      return hill_climb_->Climb(objective, search_cluster);
+    }
     return switch_aware_ ? planner_->PlanResourcesWithHints(
                                objective, search_cluster, hints)
                          : planner_->PlanResources(objective, search_cluster);

@@ -198,6 +198,8 @@ class RaqoCostEvaluator : public optimizer::PlanCostEvaluator {
   /// "planner.resource.hillclimb" for the climbing ones.
   const char* resource_span_name_ = "planner.resource.grid";
   std::unique_ptr<ResourcePlanner> planner_;
+  /// planner_ itself when the search is kHillClimb, else null.
+  const HillClimbResourcePlanner* hill_climb_ = nullptr;
   std::unique_ptr<ResourcePlanCache> cache_;
   std::shared_ptr<ResourcePlanCache> shared_cache_;
   /// Write-behind state, live only while batching_shared_inserts():

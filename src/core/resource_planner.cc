@@ -13,10 +13,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// NaN objective values (e.g. from degenerate cardinality estimates)
-/// would break the climbers' comparisons; treat them as infeasible.
-double Sanitize(double cost) { return std::isnan(cost) ? kInf : cost; }
-
 }  // namespace
 
 Result<ResourcePlanResult> BruteForceResourcePlanner::PlanResources(
@@ -27,7 +23,7 @@ Result<ResourcePlanResult> BruteForceResourcePlanner::PlanResources(
   int64_t explored = 0;
   cluster.ForEachConfig([&](const resource::ResourceConfig& config) {
     ++explored;
-    const double c = Sanitize(cost(config));
+    const double c = SanitizeCost(cost(config));
     if (c < best.cost) {
       best.cost = c;
       best.config = config;
@@ -84,7 +80,7 @@ BandBest ScanBand(const ResourceCostFn& cost,
                             step.dim(resource::kNumContainers);
       const resource::ResourceConfig config(cs, nc);
       ++local.explored;
-      const double c = Sanitize(cost(config));
+      const double c = SanitizeCost(cost(config));
       if (c < local.cost) {
         local.cost = c;
         local.config = config;
@@ -279,7 +275,7 @@ void SweepRows(const ResourceCostFn& cost, const GridGeometry& g,
       for (int64_t j = j0; j < j1; ++j) {
         const resource::ResourceConfig config = g.CellAt(i, j);
         ++stats->explored;
-        const double c = Sanitize(cost(config));
+        const double c = SanitizeCost(cost(config));
         inc->Offer(config, c, g.RankOf(i, j));
       }
     }
@@ -327,7 +323,7 @@ SwitchAwareGridResourcePlanner::PlanResourcesWithHints(
     if (i >= 0 && i < g.cs_points && j >= 0 && j < g.nc_points) {
       const resource::ResourceConfig config = g.CellAt(i, j);
       ++stats.explored;
-      const double c = Sanitize(cost(config));
+      const double c = SanitizeCost(cost(config));
       warm_rank = g.RankOf(i, j);
       inc.Offer(config, c, warm_rank);
     }
@@ -398,60 +394,7 @@ SwitchAwareGridResourcePlanner::PlanResourcesWithHints(
 Result<ResourcePlanResult> HillClimbResourcePlanner::PlanResources(
     const ResourceCostFn& cost,
     const resource::ClusterConditions& cluster) const {
-  // Algorithm 1, lines 1-3: step sizes come from the cluster's discrete
-  // grid; candidate steps are one backward and one forward; the climb
-  // starts from the smallest resources unless overridden.
-  const resource::ResourceConfig& step = cluster.step();
-  static constexpr double kCandidates[] = {-1.0, 1.0};
-  resource::ResourceConfig curr =
-      has_start_ ? cluster.SnapToGrid(start_) : cluster.min();
-
-  ResourcePlanResult result;
-  int64_t explored = 0;
-
-  // Lines 4-21: climb until no candidate step improves the cost.
-  while (true) {
-    const double curr_cost = Sanitize(cost(curr));
-    ++explored;
-    double best_cost = curr_cost;
-    for (size_t dim = 0; dim < resource::kNumResourceDims; ++dim) {
-      int best_candidate = -1;
-      for (int j = 0; j < 2; ++j) {
-        const double delta = step.dim(dim) * kCandidates[j];
-        const double moved = curr.dim(dim) + delta;
-        if (moved > cluster.max().dim(dim) + 1e-9 ||
-            moved < cluster.min().dim(dim) - 1e-9) {
-          continue;
-        }
-        curr.set_dim(dim, moved);           // apply
-        const double temp = Sanitize(cost(curr));  // probe
-        ++explored;
-        curr.set_dim(dim, moved - delta);   // backtrack
-        if (temp < best_cost) {
-          best_cost = temp;
-          best_candidate = j;
-        }
-      }
-      if (best_candidate != -1) {
-        curr.set_dim(dim,
-                     curr.dim(dim) + step.dim(dim) * kCandidates[best_candidate]);
-      }
-    }
-    if (best_cost >= curr_cost) {
-      // Lines 20-21: no better neighbor exists.
-      result.config = curr;
-      result.cost = curr_cost;
-      result.configs_explored = explored;
-      break;
-    }
-  }
-
-  if (result.cost == kInf) {
-    return Status::FailedPrecondition(
-        "hill climb start (and its neighborhood) is infeasible; restrict "
-        "the cluster conditions to the feasible region first");
-  }
-  return result;
+  return Climb(cost, cluster);
 }
 
 Result<ResourcePlanResult> AcceleratedHillClimbResourcePlanner::PlanResources(
@@ -460,7 +403,7 @@ Result<ResourcePlanResult> AcceleratedHillClimbResourcePlanner::PlanResources(
   resource::ResourceConfig curr =
       has_start_ ? cluster.SnapToGrid(start_) : cluster.min();
   int64_t explored = 0;
-  double curr_cost = Sanitize(cost(curr));
+  double curr_cost = SanitizeCost(cost(curr));
   ++explored;
 
   bool improved = true;
@@ -480,7 +423,7 @@ Result<ResourcePlanResult> AcceleratedHillClimbResourcePlanner::PlanResources(
           }
           resource::ResourceConfig candidate = curr;
           candidate.set_dim(dim, moved);
-          const double c = Sanitize(cost(candidate));
+          const double c = SanitizeCost(cost(candidate));
           ++explored;
           if (c < curr_cost) {
             curr = candidate;

@@ -1,8 +1,11 @@
 #ifndef RAQO_CORE_RESOURCE_PLANNER_H_
 #define RAQO_CORE_RESOURCE_PLANNER_H_
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 
@@ -17,6 +20,13 @@ namespace raqo::core {
 /// Implementations typically wrap a learned OperatorCostModel; returning
 /// +infinity marks an infeasible configuration.
 using ResourceCostFn = std::function<double(const resource::ResourceConfig&)>;
+
+/// NaN objective values (e.g. from degenerate cardinality estimates)
+/// would break the searches' comparisons; every search treats them as
+/// infeasible (+infinity).
+inline double SanitizeCost(double cost) {
+  return std::isnan(cost) ? std::numeric_limits<double>::infinity() : cost;
+}
 
 /// Sound lower bound of the cost over *every* grid cell in the inclusive
 /// box [lo, hi]: for all cells r in the box, bound(lo, hi) <= cost(r).
@@ -46,8 +56,9 @@ struct ResourcePlanResult {
   resource::ResourceConfig config;
   /// Objective value at `config` (+infinity if nothing feasible).
   double cost = 0.0;
-  /// Resource configurations whose cost was evaluated — the paper's
-  /// "#Resource-Iterations" overhead metric (Figure 13).
+  /// Calls the search made to the cost function — the paper's
+  /// "#Resource-Iterations" overhead metric (Figure 13). A cell whose
+  /// cost the search already holds is neither re-costed nor counted.
   int64_t configs_explored = 0;
   /// Grid cells skipped by dominance pruning (0 for exhaustive scans).
   int64_t cells_pruned = 0;
@@ -103,6 +114,15 @@ class BruteForceResourcePlanner : public ResourcePlanner {
 /// each probe), keeps the best improving move per dimension, and stops at
 /// a local optimum. Greedy, so typically ~4x fewer cost evaluations than
 /// brute force on the paper's grids.
+///
+/// The cost function is assumed pure. Two cells recur from round to
+/// round: a round starts on the previous round's last accepted probe,
+/// and the backward probe along the last move lands on the previous
+/// round's start. The climber remembers both with their costs and reuses
+/// a cost only when the probed configuration is bit-equal to the
+/// remembered one, so results are those of the literal algorithm while
+/// `configs_explored` counts the cost calls actually made (docs/PERF.md,
+/// "Non-repeating hill climb").
 class HillClimbResourcePlanner : public ResourcePlanner {
  public:
   /// `start`: override of the climb's starting point; defaults to the
@@ -111,10 +131,19 @@ class HillClimbResourcePlanner : public ResourcePlanner {
   explicit HillClimbResourcePlanner(resource::ResourceConfig start)
       : start_(start), has_start_(true) {}
 
+  /// Instantiates Climb with the type-erased ResourceCostFn.
   Result<ResourcePlanResult> PlanResources(
       const ResourceCostFn& cost,
       const resource::ClusterConditions& cluster) const override;
   const char* name() const override { return "hill-climb"; }
+
+  /// The climb itself, over any callable `double(const ResourceConfig&)`.
+  /// Callers that own a concrete objective (RaqoCostEvaluator) call it
+  /// directly, so each probe is inlined instead of going through a
+  /// std::function.
+  template <typename CostFn>
+  Result<ResourcePlanResult> Climb(
+      const CostFn& cost, const resource::ClusterConditions& cluster) const;
 
  private:
   resource::ResourceConfig start_;
@@ -237,6 +266,93 @@ class SwitchAwareGridResourcePlanner : public ResourcePlanner {
       ParallelBruteForceResourcePlanner::kDefaultMinParallelCells;
   int64_t block_cells_ = kDefaultBlockCells;
 };
+
+template <typename CostFn>
+Result<ResourcePlanResult> HillClimbResourcePlanner::Climb(
+    const CostFn& cost, const resource::ClusterConditions& cluster) const {
+  // A cell whose cost is known, matched bit for bit: `(x + d) - d` need
+  // not equal `x` on non-integer steps, and a near miss simply
+  // re-evaluates.
+  struct KnownCell {
+    resource::ResourceConfig config;
+    double cost = 0.0;
+    bool valid = false;
+
+    bool Holds(const resource::ResourceConfig& c) const {
+      if (!valid) return false;
+      for (size_t dim = 0; dim < resource::kNumResourceDims; ++dim) {
+        if (std::bit_cast<uint64_t>(c.dim(dim)) !=
+            std::bit_cast<uint64_t>(config.dim(dim))) {
+          return false;
+        }
+      }
+      return true;
+    }
+  };
+  KnownCell accepted;    // last accepted probe; its cost is best_cost
+  KnownCell prev_start;  // start of the previous round
+  int64_t explored = 0;
+  auto evaluate = [&](const resource::ResourceConfig& c) {
+    if (accepted.Holds(c)) return accepted.cost;
+    if (prev_start.Holds(c)) return prev_start.cost;
+    ++explored;
+    return SanitizeCost(cost(c));
+  };
+
+  // Algorithm 1, lines 1-3: step sizes come from the cluster's discrete
+  // grid; candidate steps are one backward and one forward; the climb
+  // starts from the smallest resources unless overridden.
+  const resource::ResourceConfig& step = cluster.step();
+  static constexpr double kCandidates[] = {-1.0, 1.0};
+  resource::ResourceConfig curr =
+      has_start_ ? cluster.SnapToGrid(start_) : cluster.min();
+
+  // Lines 4-21: climb until no candidate step improves the cost.
+  while (true) {
+    const resource::ResourceConfig round_start = curr;
+    const double curr_cost = evaluate(curr);
+    double best_cost = curr_cost;
+    KnownCell best_probe;
+    for (size_t dim = 0; dim < resource::kNumResourceDims; ++dim) {
+      int best_candidate = -1;
+      for (int j = 0; j < 2; ++j) {
+        const double delta = step.dim(dim) * kCandidates[j];
+        const double moved = curr.dim(dim) + delta;
+        if (moved > cluster.max().dim(dim) + 1e-9 ||
+            moved < cluster.min().dim(dim) - 1e-9) {
+          continue;
+        }
+        curr.set_dim(dim, moved);            // apply
+        const double temp = evaluate(curr);  // probe
+        if (temp < best_cost) {
+          best_cost = temp;
+          best_candidate = j;
+          best_probe = {curr, temp, true};
+        }
+        curr.set_dim(dim, moved - delta);    // backtrack
+      }
+      if (best_candidate != -1) {
+        curr.set_dim(dim, curr.dim(dim) +
+                              step.dim(dim) * kCandidates[best_candidate]);
+      }
+    }
+    if (best_cost >= curr_cost) {
+      // Lines 20-21: no better neighbor exists.
+      if (curr_cost == std::numeric_limits<double>::infinity()) {
+        return Status::FailedPrecondition(
+            "hill climb start (and its neighborhood) is infeasible; "
+            "restrict the cluster conditions to the feasible region first");
+      }
+      ResourcePlanResult result;
+      result.config = curr;
+      result.cost = curr_cost;
+      result.configs_explored = explored;
+      return result;
+    }
+    accepted = best_probe;
+    prev_start = {round_start, curr_cost, true};
+  }
+}
 
 /// An extension beyond the paper's Algorithm 1 for very large resource
 /// grids (Figure 15(b) scales to 100K containers): per dimension the step

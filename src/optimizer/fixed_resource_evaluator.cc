@@ -1,6 +1,5 @@
 #include "optimizer/fixed_resource_evaluator.h"
 
-#include "common/strings.h"
 #include "cost/features.h"
 
 namespace raqo::optimizer {
@@ -18,9 +17,8 @@ Result<OperatorCost> FixedResourceEvaluator::CostJoinImpl(
   const double ss_gb = context.smaller_gb();
   if (context.impl == plan::JoinImpl::kBroadcastHashJoin &&
       ss_gb > config_.container_size_gb() * bhj_capacity_factor_) {
-    return Status::ResourceExhausted(StrPrintf(
-        "BHJ build side %.2f GB does not fit %.2f GB containers", ss_gb,
-        config_.container_size_gb()));
+    return Status::ResourceExhausted(
+        "BHJ build side does not fit the fixed container size");
   }
   cost::JoinFeatures features;
   features.smaller_gb = ss_gb;
